@@ -243,10 +243,9 @@ fn bench_engine(c: &mut Criterion) {
     });
     g_tr.finish();
 
-    // Columnar kernels against the row-at-a-time reference, micro and
-    // end-to-end. The micro pair isolates the vectorized key-hash kernel
-    // on the shuffle workload's own 50k-row data; the e2e pair A/Bs the
-    // `ExecOptions::layout` escape hatch on the full shuffle plan.
+    // Columnar kernels: the micro pair isolates the vectorized key-hash
+    // kernel against the row-at-a-time hasher on the shuffle workload's
+    // own 50k-row data; the e2e bench runs the full shuffle plan.
     let mut g4 = c.benchmark_group("engine_columnar");
     let src = sh_inputs["s"].records();
     let mut builder = BatchBuilder::new(2);
@@ -274,35 +273,16 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
     g4.sample_size(10);
-    let layout_opts = |layout| strato_exec::ExecOptions {
-        layout,
-        ..strato_exec::ExecOptions::default()
-    };
-    let row_opts = layout_opts(strato_exec::BatchLayout::RowView);
-    g4.bench_function("shuffle_50k_dop4_rowview", |b| {
-        b.iter(|| {
-            strato_exec::execute_with(&sh_plan, &sh_phys, &sh_inputs, 4, &row_opts)
-                .unwrap()
-                .0
-                .len()
-        })
-    });
-    let col_opts = layout_opts(strato_exec::BatchLayout::ColumnarNative);
     g4.bench_function("shuffle_50k_dop4_columnar", |b| {
-        b.iter(|| {
-            strato_exec::execute_with(&sh_plan, &sh_phys, &sh_inputs, 4, &col_opts)
-                .unwrap()
-                .0
-                .len()
-        })
+        b.iter(|| execute(&sh_plan, &sh_phys, &sh_inputs, 4).unwrap().0.len())
     });
     g4.finish();
 
     // Multi-query throughput: `c` identical grouped-aggregate queries
     // submitted simultaneously to ONE shared EngineRuntime (one worker
     // pool, one memory budget), swept over the concurrency levels the
-    // admission gate actually sees. `isolated_c4` is the pre-runtime
-    // baseline — four queries each spinning up a private worker pool —
+    // admission gate actually sees. `isolated_c4` is four free-function
+    // queries, each on its own per-call runtime (a private worker pool),
     // so shared_c4 vs isolated_c4 measures what pooling buys under
     // oversubscription. Every query's result is asserted byte-identical
     // to a precomputed serial reference on every iteration.

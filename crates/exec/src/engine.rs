@@ -1,22 +1,27 @@
 //! Public execution entry points.
 //!
 //! The actual runtime lives in [`crate::operators`] (one physical operator
-//! per PACT), `crate::ship` (data movement between partitions) and
-//! [`crate::pipeline`] (plan lowering + the batch driver). Both entry
-//! points here lower to that same runtime:
+//! per PACT), `crate::ship` (data movement between partitions),
+//! [`crate::pipeline`] (plan lowering + the task graph) and
+//! [`crate::runtime`] (the one driver). Both entry points here lower to
+//! that same runtime:
 //!
 //! * [`execute_logical`] — single-partition reference execution of a
 //!   *logical* plan (default strategies, no shipping). Deterministic; the
 //!   oracle the plan-equivalence test harness uses.
 //! * [`execute`] — full physical execution of a [`strato_core::PhysPlan`]
-//!   with `dop` partitions, streamed as a task graph over a fixed worker
-//!   pool (see [`crate::pipeline`]).
+//!   with `dop` partitions, streamed as a task graph over a worker pool
+//!   (see [`crate::pipeline`]).
 //!
-//! The `_with` variants take [`ExecOptions`] to tune batch size, worker
-//! count, channel capacity, Map fusion, or to enable wire-format
-//! validation on hash-partition shipping.
+//! Each call runs on a per-call [`EngineRuntime`] whose memory pool is
+//! unbounded, so the query's budget is exactly its
+//! [`ExecOptions::mem_budget`]; the `dop = 1` logical oracle runs inline
+//! on the calling thread. The `_with` variants take [`ExecOptions`] to
+//! tune batch size, channel capacity, Map fusion, combining, memory or
+//! tracing.
 
-use crate::pipeline::{self, ExecOptions};
+use crate::pipeline::ExecOptions;
+use crate::runtime::EngineRuntime;
 use crate::stats::ExecStats;
 use std::collections::HashMap;
 use strato_core::PhysPlan;
@@ -36,9 +41,6 @@ pub enum ExecError {
     MissingInput(String),
     /// A UDF failed to execute (step limit or binding bug).
     Udf(String, InterpError),
-    /// Wire-format validation failed (only with
-    /// [`ExecOptions::validate_wire`]).
-    Wire(String),
     /// Disk IO on the spill path failed (writing, reading or decoding a
     /// spill file of the out-of-core subsystem, see [`crate::spill`]).
     Spill(String),
@@ -59,7 +61,6 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::MissingInput(s) => write!(f, "no input data for source {s}"),
             ExecError::Udf(op, e) => write!(f, "UDF of operator {op} failed: {e}"),
-            ExecError::Wire(msg) => write!(f, "wire validation failed: {msg}"),
             ExecError::Spill(msg) => write!(f, "spill IO failed: {msg}"),
             ExecError::Panic { op, message } => {
                 write!(f, "operator {op} panicked: {message}")
@@ -83,12 +84,11 @@ pub fn execute_logical_with(
     inputs: &Inputs,
     opts: &ExecOptions,
 ) -> Result<(DataSet, ExecStats), ExecError> {
-    let compiled = pipeline::compile_logical(plan, &plan.root);
-    pipeline::run(plan, &compiled, inputs, 1, opts, None)
+    EngineRuntime::per_call(1).execute_logical_with(plan, inputs, opts)
 }
 
 /// Executes a physical plan with `dop` partitions. Every `stage ×
-/// partition` pair becomes one task on a fixed worker pool; ship
+/// partition` pair becomes one task on a worker pool; ship
 /// strategies route batches between partitions through bounded channels
 /// and account records/bytes on [`ExecStats`].
 pub fn execute(
@@ -138,8 +138,7 @@ pub fn execute_with(
     dop: usize,
     opts: &ExecOptions,
 ) -> Result<(DataSet, ExecStats), ExecError> {
-    let compiled = pipeline::compile_physical(&phys.root, opts.combine);
-    pipeline::run(plan, &compiled, inputs, dop, opts, None)
+    EngineRuntime::per_call(dop).execute_with(plan, phys, inputs, dop, opts)
 }
 
 #[cfg(test)]
@@ -214,7 +213,7 @@ mod tests {
 
     /// Widens a data set into global layout the way the scan stage does.
     fn widen(plan: &Plan, src: usize, ds: &DataSet) -> Vec<Record> {
-        pipeline::widen(ds, &plan.ctx.sources[src].attrs, plan.ctx.width())
+        crate::pipeline::widen(ds, &plan.ctx.sources[src].attrs, plan.ctx.width())
     }
 
     #[test]
@@ -267,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_and_wire_validation_agree_with_defaults() {
+    fn batch_size_one_agrees_with_defaults() {
         let plan = sum_plan();
         let props = PropTable::build(&plan, PropertyMode::Sca);
         let phys = best_physical(&plan, &props, &CostWeights::default(), 3);
@@ -279,12 +278,11 @@ mod tests {
         let (reference, ref_stats) = execute(&plan, &phys, &inputs, 3).unwrap();
         let opts = ExecOptions {
             batch_size: 1,
-            validate_wire: true,
             ..ExecOptions::default()
         };
         let (out, stats) = execute_with(&plan, &phys, &inputs, 3, &opts).unwrap();
         assert_eq!(reference, out);
-        // Shipping accounting is independent of batch size and validation.
+        // Shipping accounting is independent of batch size.
         assert_eq!(ref_stats.snapshot().2, stats.snapshot().2);
         assert_eq!(ref_stats.snapshot().3, stats.snapshot().3);
     }
@@ -378,14 +376,17 @@ mod tests {
 
         // Inline single-worker path.
         let err = execute_logical(&plan, &inputs).unwrap_err();
-        // Pooled path, parallel partitions.
+        // Pooled path, parallel partitions on a 2-worker pool.
         let props = PropTable::build(&plan, PropertyMode::Sca);
         let phys = best_physical(&plan, &props, &CostWeights::default(), 2);
-        let opts = ExecOptions {
+        let rt = EngineRuntime::new(crate::runtime::RuntimeOptions {
             workers: Some(2),
-            ..ExecOptions::default()
-        };
-        let pooled = execute_with(&plan, &phys, &inputs, 2, &opts).unwrap_err();
+            mem_budget: None,
+            ..Default::default()
+        });
+        let pooled = rt
+            .execute_with(&plan, &phys, &inputs, 2, &ExecOptions::default())
+            .unwrap_err();
         drop(_guard);
 
         match err {

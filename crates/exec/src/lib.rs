@@ -4,8 +4,7 @@
 //! partitioned, multi-threaded, in-process executor that runs bound plans
 //! by interpreting their UDFs' three-address code.
 //!
-//! The runtime is a streaming task-graph pipeline over a fixed worker
-//! pool:
+//! The runtime is a streaming task-graph pipeline over a worker pool:
 //!
 //! * [`operators`] — one physical [`operators::Operator`]
 //!   (open / push-batch / finish) per PACT, covering the ship-independent
@@ -14,26 +13,25 @@
 //!   nested loops, sort-merge co-group);
 //! * `ship` (private) — per-batch routing between
 //!   partitions: forward, hash repartition (no serialization on the hot
-//!   path; bytes accounted via `encoded_len`, with opt-in wire validation)
-//!   and `Arc`-shared broadcast;
+//!   path; bytes accounted via `encoded_len`) and `Arc`-shared broadcast;
 //! * [`pipeline`] — lowers `(Plan, PhysPlan)` to a stage tree, fuses
 //!   adjacent Forward-shipped Maps, flattens to one task per
-//!   `stage × partition`, and schedules the tasks cooperatively on
-//!   [`ExecOptions::workers`] threads with bounded-channel backpressure;
-//!   the **same** lowering and operators serve both entry points. Worker
-//!   panics are contained per task and surfaced as [`ExecError::Panic`].
+//!   `stage × partition` with columnar scans, and steps the tasks
+//!   cooperatively with bounded-channel backpressure; the **same**
+//!   lowering and operators serve both entry points. Worker panics are
+//!   contained per task and surfaced as [`ExecError::Panic`].
 //! * [`spill`] — out-of-core execution: blocking operators register their
 //!   buffered state with a shared per-execution [`MemoryGovernor`]
 //!   ([`ExecOptions::mem_budget`], default = the cost model's budget) and,
 //!   under pressure, flush it to sorted runs on disk, finishing via a
 //!   loser-tree k-way merge; the pre-ship combiner instead flushes its
 //!   partials downstream Hadoop-style.
-//! * [`runtime`] — the shared engine runtime: one process-wide
-//!   [`EngineRuntime`] worker pool scheduling tasks from all in-flight
-//!   queries round-robin (per-query fairness), and one [`GlobalMemory`]
-//!   budget that per-query governors carve their grants from. The
-//!   single-query entry points below are the `runtime = None` special
-//!   case of the same scheduler — there is no second executor.
+//! * [`runtime`] — the one driver: an [`EngineRuntime`] worker pool
+//!   scheduling tasks from all its in-flight queries round-robin
+//!   (per-query fairness), and one [`GlobalMemory`] budget that per-query
+//!   governors carve their grants from. The single-query entry points
+//!   below run on a per-call runtime (inline at `dop = 1`) — there is no
+//!   second executor.
 //! * [`trace`] — opt-in end-to-end query tracing
 //!   ([`ExecOptions::trace`]): a lock-light per-worker span recorder fed
 //!   by the pipeline, ship, spill and runtime layers, rendered as Chrome
@@ -69,7 +67,7 @@ pub mod stats;
 pub mod trace;
 
 pub use engine::{execute, execute_logical, execute_logical_with, execute_with, ExecError, Inputs};
-pub use pipeline::{BatchLayout, ExecOptions};
+pub use pipeline::ExecOptions;
 pub use profile::{profile, profile_hints, sample_inputs, OpProfile};
 pub use runtime::{EngineRuntime, RuntimeOptions, RuntimeSnapshot};
 pub use spill::{GlobalMemory, MemoryGovernor, MemoryGrant};

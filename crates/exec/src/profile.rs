@@ -11,7 +11,7 @@
 //! the black boxes.
 //!
 //! Profiling runs through the **production streaming runtime** (the same
-//! task graph and scheduler as [`crate::execute`], at `dop = 1`) with the
+//! task graph and driver as [`crate::execute`], inline at `dop = 1`) with the
 //! per-operator detail counters of [`ExecStats::for_profiling`] switched
 //! on: each task's step time is attributed to its operator, keyed
 //! operators report the distinct input keys they observed while grouping,
@@ -20,6 +20,7 @@
 
 use crate::engine::{ExecError, Inputs};
 use crate::pipeline::{self, ExecOptions};
+use crate::runtime::EngineRuntime;
 use crate::stats::ExecStats;
 use strato_dataflow::{CostHints, Plan};
 use strato_record::DataSet;
@@ -106,7 +107,8 @@ pub fn profile(plan: &Plan, inputs: &Inputs) -> Result<Vec<OpProfile>, ExecError
         ..ExecOptions::default()
     };
     let stats = ExecStats::for_profiling(plan.ctx.ops.len());
-    pipeline::run_streaming(plan, &compiled, inputs, 1, &opts, &stats, None)?;
+    let rt = EngineRuntime::per_call(1);
+    pipeline::run_streaming(plan, &compiled, inputs, 1, &opts, &stats, &rt)?;
     Ok(stats
         .op_snapshots()
         .into_iter()

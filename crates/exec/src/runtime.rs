@@ -1,11 +1,14 @@
-//! The shared engine runtime: one worker pool and one memory budget for
-//! all concurrent executions of a process.
+//! The engine runtime: one worker pool and one memory budget for all
+//! concurrent executions it runs — the only driver of a task graph.
 //!
-//! Without a runtime, every call to [`crate::execute_with`] spins up its
-//! own worker pool and owns a private memory budget — N concurrent
-//! queries oversubscribe the machine N-fold. [`EngineRuntime`] inverts
-//! that: the pool is created **once**, queries *register* with it, and
-//! the same fixed set of workers drives every in-flight execution.
+//! The pool is created **once**, queries *register* with it, and the same
+//! fixed set of workers drives every in-flight execution, so N concurrent
+//! queries share the machine instead of oversubscribing it N-fold. The
+//! free functions ([`crate::execute_with`] and friends) run on a per-call
+//! runtime with an unbounded memory pool (the grant is exactly the query's
+//! `ExecOptions::mem_budget`): at `dop = 1` it has no pool threads and the
+//! caller's own thread drives the steps inline, otherwise it has
+//! available-parallelism workers.
 //!
 //! ## Fair scheduling
 //!
@@ -15,10 +18,9 @@
 //! cooperative task step per pick: a heavy query with hundreds of ready
 //! tasks gets exactly one step before the cursor moves on to the next
 //! query with work, so it can never starve a light neighbor. Within a
-//! query, the task order is the execution's own scheduler queue —
-//! identical to the standalone path, which is why results stay
-//! byte-identical (the single-query path is literally the shared path
-//! with one slot).
+//! query, the task order is the execution's own scheduler queue, which
+//! is why results stay byte-identical however many queries share the
+//! pool.
 //!
 //! ## Hierarchical memory
 //!
@@ -64,8 +66,7 @@ use strato_record::DataSet;
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
     /// Worker threads in the shared pool. `None` picks the machine's
-    /// available parallelism. Per-query `ExecOptions::workers` is ignored
-    /// on a runtime — the pool's size governs everything it runs.
+    /// available parallelism; at least one thread is always started.
     pub workers: Option<usize>,
     /// The machine-wide memory budget all queries share
     /// ([`GlobalMemory`]). Per-query `ExecOptions::mem_budget` becomes a
@@ -201,6 +202,10 @@ impl RtShared {
     /// about to sleep still holds the mutex, so the notification cannot
     /// slip between its scan and its wait.
     pub(crate) fn poke(&self) {
+        if self.workers == 0 {
+            // No pool: the submitter drives its own steps and never sleeps.
+            return;
+        }
         let _guard = self.sched.lock().unwrap();
         self.cv.notify_all();
     }
@@ -232,14 +237,21 @@ impl EngineRuntime {
     /// parallelism when `None`, always at least 1) and a
     /// [`GlobalMemory`] pool of `opts.mem_budget` bytes.
     pub fn new(opts: RuntimeOptions) -> EngineRuntime {
-        let workers = opts
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
+        let workers = opts.workers.unwrap_or_else(available_parallelism).max(1);
+        Self::start(workers, opts.mem_budget, opts.spill_dir)
+    }
+
+    /// The runtime one free-function call ([`crate::execute_with`] and
+    /// friends) runs on: an unbounded memory pool, so the query's grant is
+    /// exactly its own `mem_budget`; no pool threads at `dop = 1` (the
+    /// caller drives its steps inline, deterministically), available
+    /// parallelism workers otherwise.
+    pub(crate) fn per_call(dop: usize) -> EngineRuntime {
+        let workers = if dop <= 1 { 0 } else { available_parallelism() };
+        Self::start(workers, None, None)
+    }
+
+    fn start(workers: usize, mem_budget: Option<u64>, spill_dir: Option<PathBuf>) -> EngineRuntime {
         let shared = Arc::new(RtShared {
             sched: Mutex::new(RtSched {
                 slots: Vec::new(),
@@ -248,7 +260,7 @@ impl EngineRuntime {
                 recent: VecDeque::new(),
             }),
             cv: Condvar::new(),
-            memory: GlobalMemory::new(opts.mem_budget),
+            memory: GlobalMemory::new(mem_budget),
             workers,
             busy: AtomicUsize::new(0),
             tasks_run: AtomicU64::new(0),
@@ -261,13 +273,13 @@ impl EngineRuntime {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("strato-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || run_worker(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
         EngineRuntime {
             shared,
-            spill_dir: opts.spill_dir,
+            spill_dir,
             handles,
         }
     }
@@ -329,15 +341,20 @@ impl EngineRuntime {
         MemoryGovernor::with_grant(grant, base)
     }
 
-    /// Handle for the pipeline's wakeup path.
-    pub(crate) fn shared_handle(&self) -> Arc<RtShared> {
-        Arc::clone(&self.shared)
+    /// State the pipeline's wakeup path notifies.
+    pub(crate) fn shared(&self) -> &RtShared {
+        &self.shared
     }
 
     /// Registers `query` with the pool, blocks until it drains, then
     /// deregisters it. Errors surface through the query's own state; this
-    /// only choreographs scheduling.
+    /// only choreographs scheduling. A runtime without pool threads runs
+    /// the query's steps inline on the calling thread instead.
     pub(crate) fn run_query(&self, query: &(dyn QueryTasks + '_)) {
+        if self.shared.workers == 0 {
+            while query.run_one() {}
+            return;
+        }
         let query_id = self.shared.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
         let pin = Arc::new(SlotPin::default());
         // SAFETY: the erased reference is only reachable through the slot
@@ -416,7 +433,7 @@ impl EngineRuntime {
         opts: &ExecOptions,
     ) -> Result<(DataSet, ExecStats), ExecError> {
         let compiled = pipeline::compile_physical(&phys.root, opts.combine);
-        pipeline::run(plan, &compiled, inputs, dop, opts, Some(self))
+        pipeline::run(plan, &compiled, inputs, dop, opts, self)
     }
 
     /// [`crate::execute_logical`] on the shared pool.
@@ -436,7 +453,7 @@ impl EngineRuntime {
         opts: &ExecOptions,
     ) -> Result<(DataSet, ExecStats), ExecError> {
         let compiled = pipeline::compile_logical(plan, &plan.root);
-        pipeline::run(plan, &compiled, inputs, 1, opts, Some(self))
+        pipeline::run(plan, &compiled, inputs, 1, opts, self)
     }
 }
 
@@ -453,9 +470,13 @@ impl Drop for EngineRuntime {
     }
 }
 
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// One worker of the shared pool: round-robin across registered queries,
 /// one cooperative task step per pick.
-fn worker_loop(shared: &RtShared) {
+fn run_worker(shared: &RtShared) {
     loop {
         let (query, pin) = {
             let mut sched = shared.sched.lock().unwrap();

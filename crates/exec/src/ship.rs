@@ -9,11 +9,9 @@
 //! overlaps the local work of both producer and consumer stages.
 //!
 //! Byte accounting uses [`Record::encoded_len`] — the same approximation
-//! the cost model optimizes against — instead of serializing every record;
-//! the opt-in [`crate::ExecOptions::validate_wire`] mode additionally
-//! round-trips each hash-partitioned record through the wire format and
-//! asserts the decode reproduces the original, preserving the seed
-//! engine's serialization check for tests and debugging.
+//! the cost model optimizes against — instead of serializing every record.
+//! The wire format itself (and its framing helpers, shared with spill
+//! files) is pinned by the `strato-record` round-trip property tests.
 //!
 //! Accounting rule (see [`ExecStats::add_shipped`]):
 //!
@@ -31,12 +29,10 @@
 //! exactly what the old stage-synchronous driver charged for the whole
 //! partition — the equivalence suite pins this byte-for-byte.
 
-use crate::engine::ExecError;
 use crate::stats::ExecStats;
-use bytes::BytesMut;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use strato_record::{wire, AttrId, BatchBuilder, Record, RecordBatch};
+use strato_record::{AttrId, BatchBuilder, Record, RecordBatch};
 
 /// A producer task's outbound queue: batches routed to scheduler channels
 /// but not yet accepted (bounded channels apply backpressure).
@@ -76,8 +72,6 @@ pub(crate) enum Router<'a> {
         /// first columnar batch).
         col_builders: Vec<Option<BatchBuilder>>,
         batch_size: usize,
-        validate: bool,
-        buf: BytesMut,
         /// Scratch: the per-row hash column of the batch being routed.
         hashes: Vec<u64>,
         /// Scratch: per-row `encoded_len` of the batch being routed.
@@ -106,7 +100,6 @@ impl<'a> Router<'a> {
         op: Option<usize>,
         key: &'a [AttrId],
         batch_size: usize,
-        validate: bool,
     ) -> Self {
         Router::Partition {
             first,
@@ -117,8 +110,6 @@ impl<'a> Router<'a> {
             builders: (0..dop).map(|_| Vec::new()).collect(),
             col_builders: (0..dop).map(|_| None).collect(),
             batch_size: batch_size.max(1),
-            validate,
-            buf: BytesMut::new(),
             hashes: Vec::new(),
             row_bytes: Vec::new(),
             dests: Vec::new(),
@@ -137,12 +128,7 @@ impl<'a> Router<'a> {
 
     /// Routes one produced batch, charging shipping stats and appending the
     /// resulting `(channel, batch)` pairs to `out`.
-    pub(crate) fn route(
-        &mut self,
-        batch: Arc<RecordBatch>,
-        out: &mut Outbound,
-        stats: &ExecStats,
-    ) -> Result<(), ExecError> {
+    pub(crate) fn route(&mut self, batch: Arc<RecordBatch>, out: &mut Outbound, stats: &ExecStats) {
         match self {
             Router::Forward { chan } => {
                 out.push_back((*chan, batch));
@@ -156,8 +142,6 @@ impl<'a> Router<'a> {
                 builders,
                 col_builders,
                 batch_size,
-                validate,
-                buf,
                 hashes,
                 row_bytes,
                 dests,
@@ -171,16 +155,10 @@ impl<'a> Router<'a> {
                     // reference (the common case).
                     let (n, width, bytes) = {
                         let cb = batch.columns().expect("checked above");
-                        let n = cb.len();
                         cb.key_hash_into(key_idx, hashes);
                         cb.row_encoded_lens(row_bytes);
                         let bytes: u64 = row_bytes.iter().map(|&b| b as u64).sum();
-                        if *validate {
-                            for row in 0..n {
-                                validate_roundtrip(&cb.row_record(row), buf)?;
-                            }
-                        }
-                        (n, cb.width(), bytes)
+                        (cb.len(), cb.width(), bytes)
                     };
                     dests.clear();
                     dests.extend(hashes.iter().map(|&h| (h as usize % *dop) as u32));
@@ -249,9 +227,6 @@ impl<'a> Router<'a> {
                     for r in crate::operators::take_records(batch) {
                         records += 1;
                         bytes += r.encoded_len() as u64;
-                        if *validate {
-                            validate_roundtrip(&r, buf)?;
-                        }
                         let p = (crate::operators::key_hash(&r, key) as usize) % *dop;
                         // Keep per-destination arrival order if columnar
                         // rows are already pending for `p`.
@@ -297,7 +272,6 @@ impl<'a> Router<'a> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Flushes any partially filled destination batches (end of the
@@ -328,22 +302,6 @@ impl<'a> Router<'a> {
     }
 }
 
-/// Encodes `r` with the shared length-framing helper (the same framing
-/// the spill subsystem writes), decodes it back, and checks the
-/// round-trip is lossless.
-fn validate_roundtrip(r: &Record, buf: &mut BytesMut) -> Result<(), ExecError> {
-    buf.clear();
-    wire::encode_framed(r, buf);
-    let decoded = wire::decode_framed(&mut buf.split().freeze())
-        .map_err(|e| ExecError::Wire(e.to_string()))?;
-    if &decoded != r {
-        return Err(ExecError::Wire(format!(
-            "round-trip mismatch: {r} decoded as {decoded}"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,7 +326,7 @@ mod tests {
         let stats = ExecStats::new();
         let mut out = Outbound::new();
         let mut r = Router::forward(3);
-        r.route(batch(&[1, 2]), &mut out, &stats).unwrap();
+        r.route(batch(&[1, 2]), &mut out, &stats);
         r.finish(&mut out);
         assert_eq!(flat(&out), vec![(3, vec![1, 2])]);
         assert_eq!(stats.snapshot().2, 0);
@@ -379,9 +337,9 @@ mod tests {
         let stats = ExecStats::new();
         let key = [AttrId(0)];
         let mut out = Outbound::new();
-        let mut r = Router::partition(10, 4, Some(0), &key, 1024, false);
-        r.route(batch(&[1, 2, 3]), &mut out, &stats).unwrap();
-        r.route(batch(&[1, 4]), &mut out, &stats).unwrap();
+        let mut r = Router::partition(10, 4, Some(0), &key, 1024);
+        r.route(batch(&[1, 2, 3]), &mut out, &stats);
+        r.route(batch(&[1, 4]), &mut out, &stats);
         r.finish(&mut out);
         // All 5 records accounted; equal keys land on the same channel.
         let (_, _, shipped, bytes, _) = stats.snapshot();
@@ -407,8 +365,8 @@ mod tests {
         let key = [AttrId(0)];
         let mut out = Outbound::new();
         // Same key → same destination; batch_size 2 → flush every 2 records.
-        let mut r = Router::partition(0, 2, Some(0), &key, 2, false);
-        r.route(batch(&[7, 7, 7, 7, 7]), &mut out, &stats).unwrap();
+        let mut r = Router::partition(0, 2, Some(0), &key, 2);
+        r.route(batch(&[7, 7, 7, 7, 7]), &mut out, &stats);
         assert_eq!(out.len(), 2, "two full batches flushed eagerly");
         r.finish(&mut out);
         assert_eq!(out.len(), 3, "remainder flushed at finish");
@@ -421,7 +379,7 @@ mod tests {
         let b = batch(&[7, 8]);
         let mut out = Outbound::new();
         let mut r = Router::broadcast(5, 3, Some(0));
-        r.route(Arc::clone(&b), &mut out, &stats).unwrap();
+        r.route(Arc::clone(&b), &mut out, &stats);
         r.finish(&mut out);
         assert_eq!(out.len(), 3);
         // Zero-copy: every destination sees the same allocation.
@@ -439,34 +397,8 @@ mod tests {
         let stats = ExecStats::new();
         let mut out = Outbound::new();
         let mut r = Router::broadcast(0, 1, None);
-        r.route(batch(&[1]), &mut out, &stats).unwrap();
+        r.route(batch(&[1]), &mut out, &stats);
         assert_eq!(out.len(), 1, "still delivered to the one partition");
         assert_eq!(stats.snapshot().2, 0);
-    }
-
-    #[test]
-    fn validate_wire_mode_roundtrips_cleanly() {
-        let stats = ExecStats::new();
-        let key = [AttrId(0)];
-        let mut out = Outbound::new();
-        let mut r = Router::partition(0, 2, None, &key, 1024, true);
-        r.route(
-            Arc::new(
-                [Record::from_values([
-                    Value::Int(1),
-                    Value::Null,
-                    Value::str("x"),
-                    Value::Float(2.5),
-                    Value::Bool(true),
-                ])]
-                .into_iter()
-                .collect::<RecordBatch>(),
-            ),
-            &mut out,
-            &stats,
-        )
-        .unwrap();
-        r.finish(&mut out);
-        assert_eq!(out.iter().map(|(_, b)| b.len()).sum::<usize>(), 1);
     }
 }

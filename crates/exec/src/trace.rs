@@ -292,24 +292,30 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Minimal JSON string literal encoder (names can be arbitrary operator
-/// names from client flows).
+/// [`write_json_string`] into a fresh `String`.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+    write_json_string(&mut out, s).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes `s` as a JSON string literal with the mandatory escapes. Names
+/// in traces can be arbitrary operator names from client flows; the
+/// server's JSON codec writes every string through this too.
+pub fn write_json_string<W: std::fmt::Write + ?Sized>(out: &mut W, s: &str) -> std::fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
-    out
+    out.write_char('"')
 }
 
 // ---------------------------------------------------------------------------

@@ -70,16 +70,15 @@ pub fn encode_record(r: &Record, buf: &mut BytesMut) -> usize {
 }
 
 /// Length of the per-record frame header (a little-endian `u32` byte
-/// count) used wherever records are framed in a byte stream: spill run
-/// files and the opt-in wire-validation round-trip share this format.
+/// count) used wherever records are framed in a byte stream, such as
+/// spill run files.
 pub const FRAME_HEADER_LEN: usize = 4;
 
 /// Encodes `r` as a length-framed record — `u32`-le body length, then
 /// the body — returning the total bytes appended (header + body).
 ///
-/// This is the single framing rule shared by the spill subsystem and
-/// the shipping validation path, so `encoded_len`-style accounting is
-/// derived in exactly one place.
+/// This is the single framing rule of the spill subsystem, so
+/// `encoded_len`-style accounting is derived in exactly one place.
 pub fn encode_framed(r: &Record, buf: &mut BytesMut) -> usize {
     let at = buf.len();
     buf.put_u32_le(0);

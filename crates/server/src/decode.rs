@@ -368,14 +368,6 @@ fn decode_options(options: Option<&Json>) -> Result<(usize, ExecOptions, bool), 
                 as u64,
         );
     }
-    if let Some(v) = o.get("workers") {
-        exec.workers = Some(
-            v.as_i64()
-                .filter(|w| *w >= 1)
-                .ok_or_else(|| bad("\"workers\" must be a positive integer"))?
-                .min(MAX_DOP as i64) as usize,
-        );
-    }
     if let Some(v) = o.get("trace") {
         trace = v
             .as_bool()
@@ -540,6 +532,16 @@ mod tests {
                 "options": {"dop": 100000}}"#,
         );
         assert_eq!(decode_query(&doc).unwrap().dop, MAX_DOP);
+    }
+
+    #[test]
+    fn unknown_option_keys_are_ignored() {
+        // `workers` is sized server-wide (`--workers`), not per request.
+        let doc = parse(
+            r#"{"flow": {"source": {"name": "s", "fields": ["a"], "est_rows": 1}},
+                "options": {"dop": 2, "workers": -1, "nope": "x"}}"#,
+        );
+        assert_eq!(decode_query(&doc).unwrap().dop, 2);
     }
 
     #[test]

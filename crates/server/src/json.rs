@@ -16,6 +16,7 @@
 //! ```
 
 use std::fmt;
+use strato_exec::trace::write_json_string;
 
 /// Maximum nesting depth accepted by the parser (defense against
 /// stack-exhausting inputs from the network).
@@ -156,7 +157,7 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_json_string(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -173,7 +174,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_json_string(f, k)?;
                     f.write_str(":")?;
                     write!(f, "{v}")?;
                 }
@@ -181,23 +182,6 @@ impl fmt::Display for Json {
             }
         }
     }
-}
-
-/// Writes a JSON string literal with the mandatory escapes.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
 }
 
 struct Parser<'a> {

@@ -10,7 +10,7 @@
 //!   of [`strato_dataflow::spec`] — optimizes it with the full
 //!   enumerate-and-cost optimizer, executes it on the worker pool
 //!   honoring the request's execution options (`dop`, `batch`,
-//!   `combine`, `mem_budget`, `workers`), and streams result rows back
+//!   `combine`, `mem_budget`, `trace`), and streams result rows back
 //!   as a chunked JSON response that closes with the run's execution
 //!   statistics.
 //! * **`GET /metrics`** exposes cumulative server and execution counters

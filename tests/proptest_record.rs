@@ -1,6 +1,7 @@
 //! Property tests for the record data model: bag-equality laws, attribute
 //! set algebra, and wire-format round-trips.
 
+use bytes::BytesMut;
 use proptest::prelude::*;
 use strato::record::{wire, AttrId, AttrSet, DataSet, Record, Value};
 
@@ -56,10 +57,27 @@ proptest! {
     }
 
     #[test]
-    fn wire_roundtrip_preserves_records(r in arb_record()) {
+    fn wire_roundtrip_preserves_records(
+        r in arb_record(),
+        seq in prop::collection::vec(arb_record(), 0..16),
+    ) {
         let bytes = wire::encode_to_bytes(&r);
         let back = wire::decode_record(&mut bytes.clone()).unwrap();
         prop_assert_eq!(r, back);
+        // A sequence through the length-framing helpers that spill files
+        // use: every frame decodes to its record, in order, with nothing
+        // left over.
+        let mut buf = BytesMut::new();
+        let mut framed = 0;
+        for r in &seq {
+            framed += wire::encode_framed(r, &mut buf);
+        }
+        prop_assert_eq!(framed, buf.len());
+        let mut rest = buf.freeze();
+        for r in &seq {
+            prop_assert_eq!(&wire::decode_framed(&mut rest).unwrap(), r);
+        }
+        prop_assert!(rest.is_empty());
     }
 
     #[test]

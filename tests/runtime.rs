@@ -4,7 +4,7 @@
 //! The central guarantees, pinned here:
 //!
 //! * every concurrently submitted query is **byte-identical** to the same
-//!   query run serially (standalone pool) and to the logical oracle —
+//!   query run serially (a per-call runtime) and to the logical oracle —
 //!   sharing workers and memory is invisible in results,
 //! * the global pool bounds resident memory: grants are carved from one
 //!   budget, so the peak resident bytes across all queries stay within
@@ -54,9 +54,12 @@ fn grouped_sum(rows: i64, seed: i64) -> (Plan, PhysPlan, Inputs) {
 #[test]
 fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
     const K: usize = 4;
-    // A global budget far below the queries' combined working set: later
-    // grants shrink toward zero, so some queries must spill everything.
+    // A global budget far below the queries' combined working set.
     const GLOBAL_BUDGET: u64 = 24 * 1024;
+    // What the concurrent phase leaves of it: a grouped sum's aggregation
+    // table outgrows 64 bytes, so every query spills whether the threads
+    // overlap or run one after another.
+    const REMAINDER: u64 = 64;
     const PER_QUERY_CAP: u64 = 16 * 1024;
     // Per-query overshoot allowance: operators check the budget *after*
     // absorbing a batch, so each query may sit one small batch above its
@@ -70,8 +73,8 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         ..ExecOptions::default()
     };
 
-    // Serial references: the standalone engine (its own pool, its own
-    // budget) and the single-partition logical oracle.
+    // Serial references: the free-function engine (a per-call runtime,
+    // its own budget) and the single-partition logical oracle.
     let references: Vec<DataSet> = queries
         .iter()
         .map(|(plan, phys, inputs)| {
@@ -87,6 +90,10 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         mem_budget: Some(GLOBAL_BUDGET),
         ..RuntimeOptions::default()
     });
+
+    // Starve the pool deterministically: a held grant claims all but
+    // `REMAINDER` bytes for the whole concurrent phase.
+    let held = rt.memory().carve(Some(GLOBAL_BUDGET - REMAINDER));
 
     // All K queries in flight at once on the shared pool.
     let results: Vec<(DataSet, u64)> = std::thread::scope(|scope| {
@@ -105,6 +112,7 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    drop(held);
 
     let mut total_spill_runs = 0;
     for (i, ((out, spill_runs), reference)) in results.iter().zip(&references).enumerate() {
