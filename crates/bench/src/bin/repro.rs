@@ -197,7 +197,9 @@ fn table1() {
 }
 
 /// Section 7.3 "Enumeration Time": enumeration < 1654 ms, SCA overhead
-/// "virtually zero".
+/// "virtually zero". `Subtrees` counts the distinct subtrees physical
+/// costing visited: all plans share one memo, so it is well below
+/// plans × nodes.
 fn timing() {
     println!("== Enumeration & SCA timing (paper: enumeration < 1654 ms) ==");
     let workloads: Vec<(&str, Plan)> = vec![
@@ -206,10 +208,10 @@ fn timing() {
         ("TPC-H Q15", q15().0),
         ("Text Mining", tm().0),
     ];
-    let mut csv = String::from("task,space,sca_us,enumeration_ms,physical_ms\n");
+    let mut csv = String::from("task,space,sca_us,enumeration_ms,physical_ms,subtrees\n");
     println!(
-        "{:<14} {:>7} {:>10} {:>16} {:>13}",
-        "PACT Task", "Plans", "SCA (µs)", "Enumerate (ms)", "Physical (ms)"
+        "{:<14} {:>7} {:>10} {:>16} {:>13} {:>9}",
+        "PACT Task", "Plans", "SCA (µs)", "Enumerate (ms)", "Physical (ms)", "Subtrees"
     );
     for (name, plan) in workloads {
         // SCA pass (properties for every operator).
@@ -218,20 +220,22 @@ fn timing() {
         let sca_us = t.elapsed().as_micros();
         let report = Optimizer::new(PropertyMode::Sca).optimize(&plan);
         println!(
-            "{:<14} {:>7} {:>10} {:>16.1} {:>13.1}",
+            "{:<14} {:>7} {:>10} {:>16.1} {:>13.1} {:>9}",
             name,
             report.n_enumerated,
             sca_us,
             report.enumeration.as_secs_f64() * 1e3,
             report.physical.as_secs_f64() * 1e3,
+            report.subtrees_costed,
         );
         csv.push_str(&format!(
-            "{},{},{},{:.3},{:.3}\n",
+            "{},{},{},{:.3},{:.3},{}\n",
             name,
             report.n_enumerated,
             sca_us,
             report.enumeration.as_secs_f64() * 1e3,
-            report.physical.as_secs_f64() * 1e3
+            report.physical.as_secs_f64() * 1e3,
+            report.subtrees_costed,
         ));
     }
     save("timing.csv", &csv);

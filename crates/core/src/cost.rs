@@ -90,7 +90,15 @@ pub fn reduce_groups(op: &BoundOp, input_rows: f64) -> f64 {
 /// are position-independent — exactly the model the paper's optimizer uses
 /// when costing reordered alternatives.
 pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
-    match node.kind {
+    let inputs: Vec<Est> = node.children.iter().map(|c| estimate(plan, c)).collect();
+    derive(plan, node.kind, &inputs)
+}
+
+/// Derives one node's estimate from its inputs' estimates (`inputs` holds
+/// one [`Est`] per child, in child order; empty for sources). Physical
+/// selection calls this once per distinct subtree, bottom-up.
+pub fn derive(plan: &Plan, kind: NodeKind, inputs: &[Est]) -> Est {
+    match kind {
         NodeKind::Source(s) => {
             let src = &plan.ctx.sources[s];
             Est {
@@ -103,36 +111,33 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
             let op = &plan.ctx.ops[o];
             let sel = op.hints.avg_emits_per_call.max(0.0);
             let added_bytes = 9.0 * op.added_attrs.len() as f64;
+            let out_bytes = |inherited: f64| {
+                op.hints
+                    .avg_record_bytes
+                    .map(|b| b as f64)
+                    .unwrap_or(inherited)
+            };
             match &op.pact {
                 Pact::Map => {
-                    let c = estimate(plan, &node.children[0]);
+                    let c = inputs[0];
                     let calls = c.rows;
                     Est {
                         rows: calls * sel,
-                        bytes_per_row: op
-                            .hints
-                            .avg_record_bytes
-                            .map(|b| b as f64)
-                            .unwrap_or(c.bytes_per_row + added_bytes),
+                        bytes_per_row: out_bytes(c.bytes_per_row + added_bytes),
                         calls,
                     }
                 }
                 Pact::Reduce { .. } => {
-                    let c = estimate(plan, &node.children[0]);
+                    let c = inputs[0];
                     let groups = reduce_groups(op, c.rows);
                     Est {
                         rows: groups * sel,
-                        bytes_per_row: op
-                            .hints
-                            .avg_record_bytes
-                            .map(|b| b as f64)
-                            .unwrap_or(c.bytes_per_row + added_bytes),
+                        bytes_per_row: out_bytes(c.bytes_per_row + added_bytes),
                         calls: groups,
                     }
                 }
                 Pact::Match { .. } => {
-                    let l = estimate(plan, &node.children[0]);
-                    let r = estimate(plan, &node.children[1]);
+                    let (l, r) = (inputs[0], inputs[1]);
                     let domain = op
                         .hints
                         .distinct_keys
@@ -142,31 +147,21 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
                     let pairs = l.rows * r.rows / domain;
                     Est {
                         rows: pairs * sel,
-                        bytes_per_row: op
-                            .hints
-                            .avg_record_bytes
-                            .map(|b| b as f64)
-                            .unwrap_or(l.bytes_per_row + r.bytes_per_row + added_bytes),
+                        bytes_per_row: out_bytes(l.bytes_per_row + r.bytes_per_row + added_bytes),
                         calls: pairs,
                     }
                 }
                 Pact::Cross => {
-                    let l = estimate(plan, &node.children[0]);
-                    let r = estimate(plan, &node.children[1]);
+                    let (l, r) = (inputs[0], inputs[1]);
                     let pairs = l.rows * r.rows;
                     Est {
                         rows: pairs * sel,
-                        bytes_per_row: op
-                            .hints
-                            .avg_record_bytes
-                            .map(|b| b as f64)
-                            .unwrap_or(l.bytes_per_row + r.bytes_per_row + added_bytes),
+                        bytes_per_row: out_bytes(l.bytes_per_row + r.bytes_per_row + added_bytes),
                         calls: pairs,
                     }
                 }
                 Pact::CoGroup { .. } => {
-                    let l = estimate(plan, &node.children[0]);
-                    let r = estimate(plan, &node.children[1]);
+                    let (l, r) = (inputs[0], inputs[1]);
                     let groups = op
                         .hints
                         .distinct_keys
@@ -175,11 +170,7 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
                         .max(1.0);
                     Est {
                         rows: groups * sel,
-                        bytes_per_row: op
-                            .hints
-                            .avg_record_bytes
-                            .map(|b| b as f64)
-                            .unwrap_or(l.bytes_per_row + r.bytes_per_row + added_bytes),
+                        bytes_per_row: out_bytes(l.bytes_per_row + r.bytes_per_row + added_bytes),
                         calls: groups,
                     }
                 }

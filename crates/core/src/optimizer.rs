@@ -2,9 +2,9 @@
 
 use crate::cost::CostWeights;
 use crate::enumerate::enumerate_all;
-use crate::physical::{best_physical, PhysPlan};
+use crate::physical::{PhysMemo, PhysPlan};
 use crate::props::PropTable;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use strato_dataflow::{Plan, PropertyMode};
 
 /// One costed alternative.
@@ -25,12 +25,16 @@ pub struct OptimizerReport {
     pub ranked: Vec<RankedPlan>,
     /// Number of logical orders enumerated.
     pub n_enumerated: usize,
+    /// Distinct subtrees physically costed across all alternatives: the
+    /// entries of the memo the orders share (`n_enumerated` plans over
+    /// this many subtrees shows how much they share).
+    pub subtrees_costed: usize,
     /// Wall time spent enumerating orders.
-    pub enumeration: std::time::Duration,
+    pub enumeration: Duration,
     /// Wall time spent deriving operator properties.
-    pub property_derivation: std::time::Duration,
+    pub property_derivation: Duration,
     /// Wall time spent in physical optimization across all alternatives.
-    pub physical: std::time::Duration,
+    pub physical: Duration,
 }
 
 impl OptimizerReport {
@@ -114,31 +118,36 @@ impl Optimizer {
 
     /// Derives properties, enumerates all valid orders, costs each
     /// alternative's best physical plan and ranks ascending by cost.
+    ///
+    /// All orders share one physical memo, so each distinct subtree is
+    /// costed once; a physical tree is then built for every order.
     pub fn optimize(&self, plan: &Plan) -> OptimizerReport {
-        let t0 = Instant::now();
-        let props = PropTable::build(plan, self.mode);
-        let property_derivation = t0.elapsed();
+        let (props, alts, property_derivation, enumeration) = self.enumerate(plan);
 
-        let t1 = Instant::now();
-        let alts = enumerate_all(plan, &props, self.cap);
-        let enumeration = t1.elapsed();
-
-        let t2 = Instant::now();
-        let mut ranked: Vec<RankedPlan> = alts
-            .into_iter()
+        let t = Instant::now();
+        let mut memo = PhysMemo::new(&props, &self.weights, self.dop);
+        let physs: Vec<PhysPlan> = alts
+            .iter()
             .map(|p| {
-                let phys = best_physical(&p, &props, &self.weights, self.dop);
-                RankedPlan {
-                    cost: phys.total_cost,
-                    phys,
-                    plan: p,
-                }
+                memo.cost(p);
+                memo.build(p)
             })
             .collect();
-        let physical = t2.elapsed();
+        let subtrees_costed = memo.len();
+        let mut ranked: Vec<RankedPlan> = alts
+            .into_iter()
+            .zip(physs)
+            .map(|(plan, phys)| RankedPlan {
+                cost: phys.total_cost,
+                phys,
+                plan,
+            })
+            .collect();
+        let physical = t.elapsed();
         ranked.sort_by(|a, b| a.cost.total_cmp(&b.cost));
         OptimizerReport {
             n_enumerated: ranked.len(),
+            subtrees_costed,
             ranked,
             enumeration,
             property_derivation,
@@ -146,10 +155,38 @@ impl Optimizer {
         }
     }
 
-    /// Convenience: optimize and return only the winner.
+    /// Optimizes and returns only the winner: `optimize(plan).ranked[0]`.
+    ///
+    /// Every order is costed through the shared memo, but only the
+    /// winner's physical tree is built. The winner is the first order (in
+    /// enumeration order) of minimum cost, which is the one the stable
+    /// sort in [`Optimizer::optimize`] puts first.
     pub fn best(&self, plan: &Plan) -> RankedPlan {
-        let mut report = self.optimize(plan);
-        report.ranked.swap_remove(0)
+        let (props, mut alts, _, _) = self.enumerate(plan);
+        let mut memo = PhysMemo::new(&props, &self.weights, self.dop);
+        let mut winner = (0, memo.cost(&alts[0]));
+        for (i, p) in alts.iter().enumerate().skip(1) {
+            let cost = memo.cost(p);
+            if cost.total_cmp(&winner.1).is_lt() {
+                winner = (i, cost);
+            }
+        }
+        let phys = memo.build(&alts[winner.0]);
+        RankedPlan {
+            cost: phys.total_cost,
+            phys,
+            plan: alts.swap_remove(winner.0),
+        }
+    }
+
+    /// Derives properties and enumerates all valid orders, timing both.
+    fn enumerate(&self, plan: &Plan) -> (PropTable, Vec<Plan>, Duration, Duration) {
+        let t = Instant::now();
+        let props = PropTable::build(plan, self.mode);
+        let property_derivation = t.elapsed();
+        let t = Instant::now();
+        let alts = enumerate_all(plan, &props, self.cap);
+        (props, alts, property_derivation, t.elapsed())
     }
 }
 

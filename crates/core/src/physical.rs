@@ -1,12 +1,12 @@
 //! Physical optimization: shipping and local strategies.
 //!
-//! For one logical operator order, this module plays the role of the
+//! For each logical operator order, this module plays the role of the
 //! "existing cost-based optimizer" of Section 7.1: it "selects data
 //! shipping and execution strategies such as broadcasting and hybrid-hash
-//! joins", reusing **interesting properties** (partitionings) during the
-//! recursive descent — e.g. the Q15 discussion in Section 7.3 where
-//! "since Match operates on the same key as Reduce, the partitioning
-//! property remains and can be reused".
+//! joins", reusing **interesting properties** (partitionings) bottom-up —
+//! e.g. the Q15 discussion in Section 7.3 where "since Match operates on
+//! the same key as Reduce, the partitioning property remains and can be
+//! reused".
 //!
 //! Strategies:
 //!
@@ -17,14 +17,43 @@
 //!   co-group.
 //!
 //! Selection keeps, per subtree, the cheapest candidate for every distinct
-//! output partitioning (a miniature Volcano with interesting properties),
-//! so a more expensive child plan that delivers a reusable partitioning can
-//! win globally.
+//! output partitioning, so a more expensive child plan that delivers a
+//! reusable partitioning can win globally.
+//!
+//! # One memo shared across orders
+//!
+//! Enumerated orders differ only near the moved operators, so they share
+//! most subtrees (the served benchmark's 4-source join chain has 1,105
+//! orders of 12 nodes, but only 3,883 distinct subtrees). [`crate::Optimizer`]
+//! therefore costs all orders of one call through a single memo, much like
+//! Algorithm 1 keys its memo table by a sub-flow's canonical form:
+//!
+//! * **Key.** An entry is keyed by its node kind and its children's entry
+//!   ids, so structurally equal subtrees share one entry; an `Arc`-shared
+//!   node found again skips even that lookup by pointer.
+//! * **Entry.** Each entry holds its [`Est`], derived once from its
+//!   children's with [`crate::cost::derive`], and its pruned candidates in
+//!   ascending cost order, stored as one exact-size slice.
+//! * **Candidate.** A candidate is a small `Copy` value with no heap data:
+//!   its cost, its output partitioning as an interned key id, its ships
+//!   inline (keys interned too), its local strategy and combine flag, and
+//!   the candidate index it uses in each child entry.
+//! * **Lazy trees.** A [`PhysNode`] tree is built only on demand, by
+//!   walking the plan's own nodes, so every `logical` pointer is the
+//!   plan's. `Optimizer::optimize` builds one per ranked order;
+//!   `Optimizer::best` builds only the winner's.
+//!
+//! Costs are the same f64 operations in the same order as a per-plan
+//! recursion would do, and pruning is a stable sort in which the first
+//! candidate of each partitioning wins, so each order's cost and tree do
+//! not depend on which other orders shared the memo. [`best_physical`] is
+//! a memo over one plan.
 
-use crate::cost::{estimate, CostWeights, Est};
+use crate::cost::{derive, CostWeights, Est};
 use crate::props::PropTable;
 use std::sync::Arc;
 use strato_dataflow::{NodeKind, Pact, Plan, PlanNode};
+use strato_record::hash::FxHashMap;
 use strato_record::AttrId;
 
 /// A shipping strategy for one operator input.
@@ -156,29 +185,457 @@ impl PhysPlan {
     }
 }
 
-/// One candidate during selection: a physical subtree plus the partitioning
-/// property its output satisfies.
-#[derive(Debug, Clone)]
-struct Candidate {
-    phys: PhysNode,
-    partitioning: Option<Vec<AttrId>>,
-}
-
-/// Chooses the cheapest physical realization of a logical plan.
+/// Chooses the cheapest physical realization of a logical plan: a memo
+/// costing just this plan. [`crate::Optimizer`] shares one memo across all
+/// enumerated orders instead.
 pub fn best_physical(
     plan: &Plan,
     props: &PropTable,
     weights: &CostWeights,
     dop: usize,
 ) -> PhysPlan {
-    let cands = candidates(plan, props, weights, dop, &plan.root);
-    let best = cands
-        .into_iter()
-        .min_by(|a, b| a.phys.cost.total_cmp(&b.phys.cost))
-        .expect("at least one candidate");
-    PhysPlan {
-        total_cost: best.phys.cost,
-        root: best.phys,
+    let mut memo = PhysMemo::new(props, weights, dop);
+    memo.cost(plan);
+    memo.build(plan)
+}
+
+/// Index of a distinct subtree in a [`PhysMemo`].
+type EntryId = u32;
+
+/// An interned partitioning key: an index into [`PhysMemo`]'s key table,
+/// or [`NO_KEY`] for "no known partitioning". Two ids are equal exactly
+/// when their attribute lists are.
+type KeyId = u32;
+
+/// The partitioning of a candidate whose output has none.
+const NO_KEY: KeyId = KeyId::MAX;
+
+/// A [`Ship`] whose key is interned, so candidates stay `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PackedShip {
+    Forward,
+    Partition(KeyId),
+    Broadcast,
+}
+
+/// One physical realization of a memo entry: the choices made at this node,
+/// the cumulative cost of the subtree and the partitioning its output
+/// satisfies. Children are candidate indices into the children's entries;
+/// only the first `arity` slots of `ships` and `kids` are meaningful.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    cost: f64,
+    part: KeyId,
+    ships: [PackedShip; 2],
+    local: LocalStrategy,
+    combine: bool,
+    kids: [u32; 2],
+}
+
+/// One distinct subtree: its estimate, its children's entries and its
+/// pruned candidates in ascending cost order (so `cands[0]` is the best).
+#[derive(Debug)]
+struct Entry {
+    est: Est,
+    kids: [EntryId; 2],
+    cands: Box<[Candidate]>,
+}
+
+/// The physical-selection memo shared by every order of one optimization.
+///
+/// Enumerated orders share most of their subtrees, so each distinct
+/// subtree is costed once: an entry is keyed by its node kind and its
+/// children's entries, and `Arc`-shared nodes skip even that lookup by
+/// pointer. The borrow of `'p` keeps every costed node alive, so a pointer
+/// key cannot be reused by another node while the memo exists. All plans
+/// costed in one memo must share one `PlanCtx` (enumerated orders do).
+#[derive(Debug)]
+pub(crate) struct PhysMemo<'p> {
+    props: &'p PropTable,
+    w: &'p CostWeights,
+    dop: usize,
+    entries: Vec<Entry>,
+    by_shape: FxHashMap<(NodeKind, [EntryId; 2]), EntryId>,
+    by_ptr: FxHashMap<*const PlanNode, EntryId>,
+    keys: Vec<Vec<AttrId>>,
+    /// Unpruned candidates of the entry being costed, reused across entries.
+    scratch: Vec<Candidate>,
+}
+
+impl<'p> PhysMemo<'p> {
+    /// An empty memo costing with the given properties, weights and DOP.
+    pub(crate) fn new(props: &'p PropTable, w: &'p CostWeights, dop: usize) -> Self {
+        PhysMemo {
+            props,
+            w,
+            dop,
+            entries: Vec::new(),
+            by_shape: FxHashMap::default(),
+            by_ptr: FxHashMap::default(),
+            keys: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Costs every not-yet-seen subtree of `plan` and returns the cost of
+    /// its cheapest physical realization.
+    pub(crate) fn cost(&mut self, plan: &'p Plan) -> f64 {
+        let id = self.node(plan, &plan.root);
+        self.entries[id as usize].cands[0].cost
+    }
+
+    /// Number of distinct subtrees costed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Builds the cheapest physical tree of a plan already passed to
+    /// [`PhysMemo::cost`], walking the plan's own nodes.
+    pub(crate) fn build(&self, plan: &Plan) -> PhysPlan {
+        let id = self.by_ptr[&Arc::as_ptr(&plan.root)];
+        let root = self.materialize(&plan.root, id, 0);
+        PhysPlan {
+            total_cost: root.cost,
+            root,
+        }
+    }
+
+    fn materialize(&self, node: &Arc<PlanNode>, id: EntryId, cand: u32) -> PhysNode {
+        let e = &self.entries[id as usize];
+        let c = e.cands[cand as usize];
+        let arity = node.children.len();
+        PhysNode {
+            logical: node.clone(),
+            ships: c.ships[..arity]
+                .iter()
+                .map(|s| match *s {
+                    PackedShip::Forward => Ship::Forward,
+                    PackedShip::Partition(k) => Ship::Partition(self.keys[k as usize].clone()),
+                    PackedShip::Broadcast => Ship::Broadcast,
+                })
+                .collect(),
+            local: c.local,
+            combine: c.combine,
+            children: node
+                .children
+                .iter()
+                .enumerate()
+                .map(|(i, child)| self.materialize(child, e.kids[i], c.kids[i]))
+                .collect(),
+            est: e.est,
+            cost: c.cost,
+        }
+    }
+
+    /// The entry of `node`, costing it (and, first, its children) if its
+    /// shape is new.
+    fn node(&mut self, plan: &'p Plan, node: &'p Arc<PlanNode>) -> EntryId {
+        let ptr = Arc::as_ptr(node);
+        if let Some(&id) = self.by_ptr.get(&ptr) {
+            return id;
+        }
+        let mut kids = [EntryId::MAX; 2];
+        for (k, child) in kids.iter_mut().zip(&node.children) {
+            *k = self.node(plan, child);
+        }
+        let id = match self.by_shape.get(&(node.kind, kids)) {
+            Some(&id) => id,
+            None => {
+                let entry = self.entry(plan, node, kids);
+                let id = self.entries.len() as EntryId;
+                self.entries.push(entry);
+                self.by_shape.insert((node.kind, kids), id);
+                id
+            }
+        };
+        self.by_ptr.insert(ptr, id);
+        id
+    }
+
+    fn intern(&mut self, key: &[AttrId]) -> KeyId {
+        match self.keys.iter().position(|k| k[..] == *key) {
+            Some(i) => i as KeyId,
+            None => {
+                self.keys.push(key.to_vec());
+                (self.keys.len() - 1) as KeyId
+            }
+        }
+    }
+
+    /// Derives a new entry's estimate and its pruned candidates from its
+    /// children's entries.
+    fn entry(&mut self, plan: &Plan, node: &PlanNode, kids: [EntryId; 2]) -> Entry {
+        let arity = node.children.len();
+        let mut inputs = [Est {
+            rows: 0.0,
+            bytes_per_row: 0.0,
+            calls: 0.0,
+        }; 2];
+        for (input, &k) in inputs.iter_mut().zip(&kids[..arity]) {
+            *input = self.entries[k as usize].est;
+        }
+        let est = derive(plan, node.kind, &inputs[..arity]);
+        let (w, dop) = (self.w, self.dop);
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        let fwd = [PackedShip::Forward; 2];
+        match node.kind {
+            NodeKind::Source(_) => {
+                // Scan cost: every plan reads every source once (the paper
+                // notes all plans do full scans), charged as disk IO.
+                out.push(Candidate {
+                    cost: est.bytes() * w.disk,
+                    part: NO_KEY,
+                    ships: fwd,
+                    local: LocalStrategy::Pipe,
+                    combine: false,
+                    kids: [0; 2],
+                });
+            }
+            NodeKind::Op(o) => {
+                let op = &plan.ctx.ops[o];
+                let udf_cpu = est.calls * op.hints.cpu_per_call * w.cpu;
+                let key_ids = [
+                    op.key_attrs.first().map_or(NO_KEY, |k| self.intern(k)),
+                    op.key_attrs.get(1).map_or(NO_KEY, |k| self.intern(k)),
+                ];
+                let keys = &self.keys;
+                let satisfies = |part: KeyId, key: &[AttrId]| {
+                    part != NO_KEY && {
+                        let p = &keys[part as usize];
+                        !p.is_empty() && p.iter().all(|a| key.contains(a))
+                    }
+                };
+                let cands = |i: usize| &*self.entries[kids[i] as usize].cands;
+                match &op.pact {
+                    Pact::Map => {
+                        let write = &self.props.get(o).write;
+                        for (ci, c) in cands(0).iter().enumerate() {
+                            // A Map that writes partition attributes
+                            // destroys the property.
+                            let keeps = c.part != NO_KEY
+                                && keys[c.part as usize].iter().all(|a| !write.contains(*a));
+                            out.push(Candidate {
+                                cost: c.cost + udf_cpu,
+                                part: if keeps { c.part } else { NO_KEY },
+                                ships: fwd,
+                                local: LocalStrategy::Pipe,
+                                combine: false,
+                                kids: [ci as u32, 0],
+                            });
+                        }
+                    }
+                    Pact::Reduce { .. } => {
+                        let key = &op.key_attrs[0];
+                        let combinable = plan.combinable_reduce(node);
+                        let in_est = inputs[0];
+                        let groups = crate::cost::reduce_groups(op, in_est.rows);
+                        for (ci, c) in cands(0).iter().enumerate() {
+                            let ship = if satisfies(c.part, key) {
+                                PackedShip::Forward
+                            } else {
+                                PackedShip::Partition(key_ids[0])
+                            };
+                            for combine in [false, true] {
+                                // A pre-ship combiner only exists for
+                                // combinable, Partition-shipped reduces.
+                                if combine
+                                    && !(combinable && matches!(ship, PackedShip::Partition(_)))
+                                {
+                                    continue;
+                                }
+                                // Combining caps the shipped volume at one
+                                // partial per key per producing partition —
+                                // the shipped-bytes reduction that lets plan
+                                // enumeration prefer combined plans.
+                                let shipped_est = if combine {
+                                    Est {
+                                        rows: (groups * dop as f64).min(in_est.rows),
+                                        ..in_est
+                                    }
+                                } else {
+                                    in_est
+                                };
+                                // The combiner's own work: a hash probe and
+                                // fold per input record on the producing side.
+                                let combiner_cpu = if combine {
+                                    0.5 * in_est.rows * w.cpu
+                                } else {
+                                    0.0
+                                };
+                                let base = c.cost
+                                    + ship_cost(ship, &shipped_est, w, dop)
+                                    + udf_cpu
+                                    + combiner_cpu;
+                                let locals = [
+                                    (LocalStrategy::HashGroup, hash_build_cost(&shipped_est, w)),
+                                    (LocalStrategy::SortGroup, sort_cost(&shipped_est, w)),
+                                    (
+                                        LocalStrategy::StreamAgg,
+                                        stream_agg_cost(&shipped_est, groups, w),
+                                    ),
+                                ];
+                                let n_locals = if combinable { 3 } else { 2 };
+                                for &(local, lcost) in &locals[..n_locals] {
+                                    out.push(Candidate {
+                                        cost: base + lcost,
+                                        part: key_ids[0],
+                                        ships: [ship, PackedShip::Forward],
+                                        local,
+                                        combine,
+                                        kids: [ci as u32, 0],
+                                    });
+                                }
+                            }
+                        }
+                    }
+                    Pact::Match { .. } => {
+                        let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
+                        let (kl_id, kr_id) = (key_ids[0], key_ids[1]);
+                        let (le, re) = (inputs[0], inputs[1]);
+                        for (li, lc) in cands(0).iter().enumerate() {
+                            for (ri, rc) in cands(1).iter().enumerate() {
+                                let kids = [li as u32, ri as u32];
+                                // (a) Repartition both (with reuse).
+                                let ship_l = if satisfies(lc.part, kl) {
+                                    PackedShip::Forward
+                                } else {
+                                    PackedShip::Partition(kl_id)
+                                };
+                                let ship_r = if satisfies(rc.part, kr) {
+                                    PackedShip::Forward
+                                } else {
+                                    PackedShip::Partition(kr_id)
+                                };
+                                // Reuse is only sound if both sides end up
+                                // co-partitioned; forwarding both requires
+                                // that their partitionings correspond — we
+                                // only reuse when the other side is
+                                // repartitioned on the full key or both were
+                                // partitioned identically by position.
+                                // Conservative: if both would forward,
+                                // repartition the bigger-keyed side.
+                                let (ship_l, ship_r) = match (ship_l, ship_r) {
+                                    (PackedShip::Forward, PackedShip::Forward) => {
+                                        // Require exact correspondence of the
+                                        // partition keys to the join keys.
+                                        let exact_l = lc.part == kl_id;
+                                        let exact_r = rc.part == kr_id;
+                                        if exact_l && exact_r {
+                                            (PackedShip::Forward, PackedShip::Forward)
+                                        } else if exact_l {
+                                            (PackedShip::Forward, PackedShip::Partition(kr_id))
+                                        } else {
+                                            (PackedShip::Partition(kl_id), ship_r)
+                                        }
+                                    }
+                                    ships => ships,
+                                };
+                                let ship_cost_ab =
+                                    ship_cost(ship_l, &le, w, dop) + ship_cost(ship_r, &re, w, dop);
+                                let (build, bcost) = if le.bytes() <= re.bytes() {
+                                    (LocalStrategy::HashJoinBuildLeft, hash_build_cost(&le, w))
+                                } else {
+                                    (LocalStrategy::HashJoinBuildRight, hash_build_cost(&re, w))
+                                };
+                                let smj = sort_cost(&le, w) + sort_cost(&re, w);
+                                let base = lc.cost + rc.cost + udf_cpu;
+                                for (local, lcost2) in
+                                    [(build, bcost), (LocalStrategy::SortMergeJoin, smj)]
+                                {
+                                    for part in [kl_id, kr_id] {
+                                        out.push(Candidate {
+                                            cost: base + ship_cost_ab + lcost2,
+                                            part,
+                                            ships: [ship_l, ship_r],
+                                            local,
+                                            combine: false,
+                                            kids,
+                                        });
+                                    }
+                                }
+                                // (b) Broadcast the smaller side; the larger
+                                // side's partitioning survives.
+                                let (bc_side, bc_est, part) = if le.bytes() <= re.bytes() {
+                                    (0, le, rc.part)
+                                } else {
+                                    (1, re, lc.part)
+                                };
+                                let mut ships = fwd;
+                                ships[bc_side] = PackedShip::Broadcast;
+                                let bcost2 = ship_cost(PackedShip::Broadcast, &bc_est, w, dop)
+                                    + hash_build_cost(&bc_est, w) * dop as f64;
+                                let local = if bc_side == 0 {
+                                    LocalStrategy::HashJoinBuildLeft
+                                } else {
+                                    LocalStrategy::HashJoinBuildRight
+                                };
+                                out.push(Candidate {
+                                    cost: lc.cost + rc.cost + udf_cpu + bcost2,
+                                    part,
+                                    ships,
+                                    local,
+                                    combine: false,
+                                    kids,
+                                });
+                            }
+                        }
+                    }
+                    Pact::Cross => {
+                        let (le, re) = (inputs[0], inputs[1]);
+                        for (li, lc) in cands(0).iter().enumerate() {
+                            for (ri, rc) in cands(1).iter().enumerate() {
+                                let (bc_side, bc_est, part) = if le.bytes() <= re.bytes() {
+                                    (0, le, rc.part)
+                                } else {
+                                    (1, re, lc.part)
+                                };
+                                let mut ships = fwd;
+                                ships[bc_side] = PackedShip::Broadcast;
+                                out.push(Candidate {
+                                    cost: lc.cost
+                                        + rc.cost
+                                        + udf_cpu
+                                        + ship_cost(PackedShip::Broadcast, &bc_est, w, dop)
+                                        + est.calls * w.cpu * 0.1,
+                                    part,
+                                    ships,
+                                    local: LocalStrategy::BlockNestedLoop,
+                                    combine: false,
+                                    kids: [li as u32, ri as u32],
+                                });
+                            }
+                        }
+                    }
+                    Pact::CoGroup { .. } => {
+                        let (le, re) = (inputs[0], inputs[1]);
+                        let ship_l = PackedShip::Partition(key_ids[0]);
+                        let ship_r = PackedShip::Partition(key_ids[1]);
+                        for (li, lc) in cands(0).iter().enumerate() {
+                            for (ri, rc) in cands(1).iter().enumerate() {
+                                out.push(Candidate {
+                                    cost: lc.cost
+                                        + rc.cost
+                                        + udf_cpu
+                                        + ship_cost(ship_l, &le, w, dop)
+                                        + ship_cost(ship_r, &re, w, dop)
+                                        + sort_cost(&le, w)
+                                        + sort_cost(&re, w),
+                                    part: key_ids[0],
+                                    ships: [ship_l, ship_r],
+                                    local: LocalStrategy::CoGroupSortMerge,
+                                    combine: false,
+                                    kids: [li as u32, ri as u32],
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let cands = prune(&mut out);
+        self.scratch = out;
+        Entry { est, kids, cands }
     }
 }
 
@@ -207,331 +664,29 @@ fn stream_agg_cost(e: &Est, groups: f64, w: &CostWeights) -> f64 {
     e.rows * w.cpu + spill(groups * e.bytes_per_row, w)
 }
 
-fn ship_cost(ship: &Ship, e: &Est, w: &CostWeights, dop: usize) -> f64 {
+fn ship_cost(ship: PackedShip, e: &Est, w: &CostWeights, dop: usize) -> f64 {
     match ship {
-        Ship::Forward => 0.0,
+        PackedShip::Forward => 0.0,
         // (dop-1)/dop of the data crosses the wire; approximate with 1.
-        Ship::Partition(_) => e.bytes() * w.net,
-        Ship::Broadcast => e.bytes() * w.net * dop as f64,
+        PackedShip::Partition(_) => e.bytes() * w.net,
+        PackedShip::Broadcast => e.bytes() * w.net * dop as f64,
     }
 }
 
-/// Keeps only the cheapest candidate per distinct partitioning plus the
-/// globally cheapest.
-fn prune(mut cands: Vec<Candidate>) -> Vec<Candidate> {
-    cands.sort_by(|a, b| a.phys.cost.total_cmp(&b.phys.cost));
-    let mut seen: Vec<Option<Vec<AttrId>>> = Vec::new();
-    let mut out = Vec::new();
-    for c in cands {
-        if !seen.contains(&c.partitioning) {
-            seen.push(c.partitioning.clone());
-            out.push(c);
+/// Keeps only the cheapest candidate per distinct partitioning, in
+/// ascending cost order: a stable sort, then the first candidate of each
+/// partitioning wins (so ties go to the earlier-generated candidate).
+fn prune(cands: &mut [Candidate]) -> Box<[Candidate]> {
+    cands.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+    let mut kept = 0;
+    for i in 0..cands.len() {
+        let c = cands[i];
+        if cands[..kept].iter().all(|k| k.part != c.part) {
+            cands[kept] = c;
+            kept += 1;
         }
     }
-    out
-}
-
-/// Does the child partitioning satisfy a required key (non-empty subset)?
-fn satisfies(part: &Option<Vec<AttrId>>, key: &[AttrId]) -> bool {
-    match part {
-        Some(p) => !p.is_empty() && p.iter().all(|a| key.contains(a)),
-        None => false,
-    }
-}
-
-fn candidates(
-    plan: &Plan,
-    props: &PropTable,
-    w: &CostWeights,
-    dop: usize,
-    node: &Arc<PlanNode>,
-) -> Vec<Candidate> {
-    match node.kind {
-        NodeKind::Source(_) => {
-            let est = estimate(plan, node);
-            // Scan cost: every plan reads every source once (the paper notes
-            // all plans do full scans), charged as disk IO.
-            let cost = est.bytes() * w.disk;
-            vec![Candidate {
-                phys: PhysNode {
-                    logical: node.clone(),
-                    ships: vec![],
-                    local: LocalStrategy::Pipe,
-                    combine: false,
-                    children: vec![],
-                    est,
-                    cost,
-                },
-                partitioning: None,
-            }]
-        }
-        NodeKind::Op(o) => {
-            let op = &plan.ctx.ops[o];
-            let est = estimate(plan, node);
-            let udf_cpu = est.calls * op.hints.cpu_per_call * w.cpu;
-            let mut out: Vec<Candidate> = Vec::new();
-            match &op.pact {
-                Pact::Map => {
-                    for c in candidates(plan, props, w, dop, &node.children[0]) {
-                        // A Map that writes partition attributes destroys
-                        // the property.
-                        let part = match &c.partitioning {
-                            Some(p) if p.iter().all(|a| !props.get(o).write.contains(*a)) => {
-                                c.partitioning.clone()
-                            }
-                            _ => None,
-                        };
-                        let cost = c.phys.cost + udf_cpu;
-                        out.push(Candidate {
-                            phys: PhysNode {
-                                logical: node.clone(),
-                                ships: vec![Ship::Forward],
-                                local: LocalStrategy::Pipe,
-                                combine: false,
-                                children: vec![c.phys],
-                                est,
-                                cost,
-                            },
-                            partitioning: part,
-                        });
-                    }
-                }
-                Pact::Reduce { .. } => {
-                    let key = op.key_attrs[0].clone();
-                    let combinable = plan.combinable_reduce(node);
-                    for c in candidates(plan, props, w, dop, &node.children[0]) {
-                        let reuse = satisfies(&c.partitioning, &key);
-                        let ship = if reuse {
-                            Ship::Forward
-                        } else {
-                            Ship::Partition(key.clone())
-                        };
-                        let in_est = c.phys.est;
-                        let groups = crate::cost::reduce_groups(op, in_est.rows);
-                        for combine in [false, true] {
-                            // A pre-ship combiner only exists for
-                            // combinable, Partition-shipped reduces.
-                            if combine && !(combinable && matches!(ship, Ship::Partition(_))) {
-                                continue;
-                            }
-                            // Combining caps the shipped volume at one
-                            // partial per key per producing partition —
-                            // the shipped-bytes reduction that lets plan
-                            // enumeration prefer combined plans.
-                            let shipped_est = if combine {
-                                Est {
-                                    rows: (groups * dop as f64).min(in_est.rows),
-                                    ..in_est
-                                }
-                            } else {
-                                in_est
-                            };
-                            // The combiner's own work: a hash probe and
-                            // fold per input record on the producing side.
-                            let combiner_cpu = if combine {
-                                0.5 * in_est.rows * w.cpu
-                            } else {
-                                0.0
-                            };
-                            let base = c.phys.cost
-                                + ship_cost(&ship, &shipped_est, w, dop)
-                                + udf_cpu
-                                + combiner_cpu;
-                            let mut locals = vec![
-                                (LocalStrategy::HashGroup, hash_build_cost(&shipped_est, w)),
-                                (LocalStrategy::SortGroup, sort_cost(&shipped_est, w)),
-                            ];
-                            if combinable {
-                                locals.push((
-                                    LocalStrategy::StreamAgg,
-                                    stream_agg_cost(&shipped_est, groups, w),
-                                ));
-                            }
-                            for (local, lcost) in locals {
-                                out.push(Candidate {
-                                    phys: PhysNode {
-                                        logical: node.clone(),
-                                        ships: vec![ship.clone()],
-                                        local,
-                                        combine,
-                                        children: vec![c.phys.clone()],
-                                        est,
-                                        cost: base + lcost,
-                                    },
-                                    partitioning: Some(key.clone()),
-                                });
-                            }
-                        }
-                    }
-                }
-                Pact::Match { .. } => {
-                    let (kl, kr) = (op.key_attrs[0].clone(), op.key_attrs[1].clone());
-                    let lcands = candidates(plan, props, w, dop, &node.children[0]);
-                    let rcands = candidates(plan, props, w, dop, &node.children[1]);
-                    for lc in &lcands {
-                        for rc in &rcands {
-                            let (le, re) = (lc.phys.est, rc.phys.est);
-                            // (a) Repartition both (with reuse).
-                            let ship_l = if satisfies(&lc.partitioning, &kl) {
-                                Ship::Forward
-                            } else {
-                                Ship::Partition(kl.clone())
-                            };
-                            let ship_r = if satisfies(&rc.partitioning, &kr) {
-                                Ship::Forward
-                            } else {
-                                Ship::Partition(kr.clone())
-                            };
-                            // Reuse is only sound if both sides end up
-                            // co-partitioned; forwarding both requires that
-                            // their partitionings correspond — we only reuse
-                            // when the other side is repartitioned on the
-                            // full key or both were partitioned identically
-                            // by position. Conservative: if both would
-                            // forward, repartition the bigger-keyed side.
-                            let (ship_l, ship_r) = match (&ship_l, &ship_r) {
-                                (Ship::Forward, Ship::Forward) => {
-                                    // Require exact correspondence of the
-                                    // partition keys to the join keys.
-                                    let exact_l = lc.partitioning.as_deref() == Some(&kl[..]);
-                                    let exact_r = rc.partitioning.as_deref() == Some(&kr[..]);
-                                    if exact_l && exact_r {
-                                        (Ship::Forward, Ship::Forward)
-                                    } else if exact_l {
-                                        (Ship::Forward, Ship::Partition(kr.clone()))
-                                    } else {
-                                        (Ship::Partition(kl.clone()), ship_r)
-                                    }
-                                }
-                                _ => (ship_l, ship_r),
-                            };
-                            let ship_cost_ab =
-                                ship_cost(&ship_l, &le, w, dop) + ship_cost(&ship_r, &re, w, dop);
-                            let (build, bcost) = if le.bytes() <= re.bytes() {
-                                (LocalStrategy::HashJoinBuildLeft, hash_build_cost(&le, w))
-                            } else {
-                                (LocalStrategy::HashJoinBuildRight, hash_build_cost(&re, w))
-                            };
-                            let smj = sort_cost(&le, w) + sort_cost(&re, w);
-                            let base = lc.phys.cost + rc.phys.cost + udf_cpu;
-                            for (local, lcost2) in
-                                [(build, bcost), (LocalStrategy::SortMergeJoin, smj)]
-                            {
-                                for part_out in [Some(kl.clone()), Some(kr.clone())] {
-                                    out.push(Candidate {
-                                        phys: PhysNode {
-                                            logical: node.clone(),
-                                            ships: vec![ship_l.clone(), ship_r.clone()],
-                                            local,
-                                            combine: false,
-                                            children: vec![lc.phys.clone(), rc.phys.clone()],
-                                            est,
-                                            cost: base + ship_cost_ab + lcost2,
-                                        },
-                                        partitioning: part_out,
-                                    });
-                                }
-                            }
-                            // (b) Broadcast the smaller side; the larger
-                            // side's partitioning survives.
-                            let (bc_side, fw_side, bc_est, fw_cand) = if le.bytes() <= re.bytes() {
-                                (0usize, 1usize, le, rc)
-                            } else {
-                                (1, 0, re, lc)
-                            };
-                            let mut ships = vec![Ship::Forward, Ship::Forward];
-                            ships[bc_side] = Ship::Broadcast;
-                            let bcost2 = ship_cost(&Ship::Broadcast, &bc_est, w, dop)
-                                + hash_build_cost(&bc_est, w) * dop as f64;
-                            let local = if bc_side == 0 {
-                                LocalStrategy::HashJoinBuildLeft
-                            } else {
-                                LocalStrategy::HashJoinBuildRight
-                            };
-                            let _ = fw_side;
-                            out.push(Candidate {
-                                phys: PhysNode {
-                                    logical: node.clone(),
-                                    ships,
-                                    local,
-                                    combine: false,
-                                    children: vec![lc.phys.clone(), rc.phys.clone()],
-                                    est,
-                                    cost: lc.phys.cost + rc.phys.cost + udf_cpu + bcost2,
-                                },
-                                partitioning: fw_cand.partitioning.clone(),
-                            });
-                        }
-                    }
-                }
-                Pact::Cross => {
-                    let lcands = candidates(plan, props, w, dop, &node.children[0]);
-                    let rcands = candidates(plan, props, w, dop, &node.children[1]);
-                    for lc in &lcands {
-                        for rc in &rcands {
-                            let (le, re) = (lc.phys.est, rc.phys.est);
-                            let (bc_side, bc_est, keep) = if le.bytes() <= re.bytes() {
-                                (0usize, le, rc)
-                            } else {
-                                (1, re, lc)
-                            };
-                            let mut ships = vec![Ship::Forward, Ship::Forward];
-                            ships[bc_side] = Ship::Broadcast;
-                            let cost = lc.phys.cost
-                                + rc.phys.cost
-                                + udf_cpu
-                                + ship_cost(&Ship::Broadcast, &bc_est, w, dop)
-                                + est.calls * w.cpu * 0.1;
-                            out.push(Candidate {
-                                phys: PhysNode {
-                                    logical: node.clone(),
-                                    ships,
-                                    local: LocalStrategy::BlockNestedLoop,
-                                    combine: false,
-                                    children: vec![lc.phys.clone(), rc.phys.clone()],
-                                    est,
-                                    cost,
-                                },
-                                partitioning: keep.partitioning.clone(),
-                            });
-                        }
-                    }
-                }
-                Pact::CoGroup { .. } => {
-                    let (kl, kr) = (op.key_attrs[0].clone(), op.key_attrs[1].clone());
-                    let lcands = candidates(plan, props, w, dop, &node.children[0]);
-                    let rcands = candidates(plan, props, w, dop, &node.children[1]);
-                    for lc in &lcands {
-                        for rc in &rcands {
-                            let (le, re) = (lc.phys.est, rc.phys.est);
-                            let ship_l = Ship::Partition(kl.clone());
-                            let ship_r = Ship::Partition(kr.clone());
-                            let cost = lc.phys.cost
-                                + rc.phys.cost
-                                + udf_cpu
-                                + ship_cost(&ship_l, &le, w, dop)
-                                + ship_cost(&ship_r, &re, w, dop)
-                                + sort_cost(&le, w)
-                                + sort_cost(&re, w);
-                            out.push(Candidate {
-                                phys: PhysNode {
-                                    logical: node.clone(),
-                                    ships: vec![ship_l, ship_r],
-                                    local: LocalStrategy::CoGroupSortMerge,
-                                    combine: false,
-                                    children: vec![lc.phys.clone(), rc.phys.clone()],
-                                    est,
-                                    cost,
-                                },
-                                partitioning: Some(kl.clone()),
-                            });
-                        }
-                    }
-                }
-            }
-            prune(out)
-        }
-    }
+    cands[..kept].into()
 }
 
 #[cfg(test)]

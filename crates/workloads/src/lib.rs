@@ -19,11 +19,16 @@
 //!   different CPU costs and selectivities, and a final relation extractor
 //!   (4! = 24 valid orders).
 //!
+//! [`chain`] adds one non-paper flow: a four-source filter → Match-chain →
+//! count whose 1,105 orders make physical costing the dominant cost of
+//! serving it.
+//!
 //! Every UDF is three-address code built with [`strato_ir::FuncBuilder`];
 //! the optimizer sees nothing but the code.
 
 #![warn(missing_docs)]
 
+pub mod chain;
 pub mod clickstream;
 pub mod textmining;
 pub mod tpch;
